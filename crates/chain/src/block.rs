@@ -238,46 +238,24 @@ impl Block {
         cache: Option<&SigCache>,
         telemetry: &TelemetrySink,
     ) -> Result<(), ChainError> {
-        self.verify_structure_traced(pool, cache, telemetry, &TraceSink::disabled(), 0)
-    }
-
-    /// [`Block::verify_structure_with`] recording one `tx.verify` span per
-    /// transaction into `trace`, parented under `parent` (the importing
-    /// replica's `chain.verify` span). Each span carries the verify worker
-    /// that owned the transaction's chunk (from [`Pool::chunk_bounds`])
-    /// and the transaction's index, so Perfetto shows which tn-par worker
-    /// checked which signature. A disabled `trace` makes this identical
-    /// to [`Block::verify_structure_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Block::verify_structure`].
-    pub fn verify_structure_traced(
-        &self,
-        pool: &Pool,
-        cache: Option<&SigCache>,
-        telemetry: &TelemetrySink,
-        trace: &TraceSink,
-        parent: u64,
-    ) -> Result<(), ChainError> {
         self.verify_structure_policy(
             pool,
             cache,
             telemetry,
-            trace,
-            parent,
+            &TraceSink::disabled(),
+            0,
             BatchVerifyPolicy::default(),
         )
     }
 
-    /// [`Block::verify_structure_traced`] with an explicit
-    /// [`BatchVerifyPolicy`].
+    /// [`Block::verify_structure_with`] with an explicit
+    /// [`BatchVerifyPolicy`], recording verification spans into `trace`
+    /// under `parent` (the importing replica's `chain.verify` span).
     ///
-    /// With batching enabled (and tracing disabled — per-transaction
-    /// spans require per-transaction verification), transactions are split
-    /// into fixed-size chunks and each chunk's signatures are folded into
-    /// one random-linear-combination Schnorr equation seeded by the block
-    /// id and chunk index ([`tn_crypto::verify_batch`]). Chunks fan out
+    /// With batching enabled, transactions are split into fixed-size
+    /// chunks and each chunk's signatures are folded into one
+    /// random-linear-combination Schnorr equation seeded by the block id
+    /// and chunk index ([`tn_crypto::verify_batch`]). Chunks fan out
     /// over `pool` via [`Pool::map_chunks`], so the equations themselves
     /// are independent of the worker count. Per chunk, cached
     /// transactions are skipped (bumping `chain.sigcache.hit`) and the
@@ -294,6 +272,12 @@ impl Block {
     /// `try_check`, so the reported error is byte-identical to the
     /// sequential scan's lowest-index failure for every pool × chunk
     /// configuration ([`BATCH_FALLBACK_COUNTER`] records the rescan).
+    ///
+    /// Spans: the batch path records one `tx.verify_batch` span per chunk
+    /// (args `chunk`, `txs`); the per-transaction scan — batching disabled,
+    /// or the rescan after a failed batch — records one `tx.verify` span
+    /// per transaction (args `worker`, `index`). Tracing never changes
+    /// which path runs.
     ///
     /// # Errors
     ///
@@ -320,9 +304,8 @@ impl Block {
             return Err(ChainError::BadTxRoot);
         }
         if policy.enabled
-            && !trace.is_enabled()
             && !self.transactions.is_empty()
-            && self.batch_verify_txs(pool, cache, telemetry, policy.chunk)
+            && self.batch_verify_txs(pool, cache, telemetry, trace, parent, policy.chunk)
         {
             return Ok(());
         }
@@ -357,10 +340,12 @@ impl Block {
     }
 
     /// Runs the batched signature check over all transactions in
-    /// fixed-size chunks fanned out over `pool`. Returns `true` when every
-    /// chunk's equation holds — in which case sigcache/batch counters are
-    /// bumped and `cache` is populated — and `false` otherwise, deciding
-    /// nothing (the caller rescans per-transaction for the exact error).
+    /// fixed-size chunks fanned out over `pool`, recording one
+    /// `tx.verify_batch` span per chunk under `parent`. Returns `true`
+    /// when every chunk's equation holds — in which case sigcache/batch
+    /// counters are bumped and `cache` is populated — and `false`
+    /// otherwise, deciding nothing (the caller rescans per-transaction for
+    /// the exact error).
     ///
     /// Counters are only touched for *successful* chunks, so on the
     /// all-valid path each transaction is counted exactly once (hit or
@@ -371,55 +356,24 @@ impl Block {
         pool: &Pool,
         cache: Option<&SigCache>,
         telemetry: &TelemetrySink,
+        trace: &TraceSink,
+        parent: u64,
         chunk: usize,
     ) -> bool {
         let block_id = self.id();
         let ok = pool
             .map_chunks(&self.transactions, chunk, |ci, txs| {
-                let mut items: Vec<BatchItem> = Vec::with_capacity(txs.len());
-                let mut ids = Vec::with_capacity(txs.len());
-                let mut hits = 0u64;
-                for tx in txs {
-                    if tx.pubkey.address() != tx.from {
-                        return false;
-                    }
-                    let id = tx.id();
-                    if cache.is_some_and(|c| c.contains(&id)) {
-                        hits += 1;
-                        continue;
-                    }
-                    let digest =
-                        Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
-                    items.push((tx.pubkey, digest, tx.signature));
-                    ids.push(id);
-                }
-                // The Fiat–Shamir seed binds the block id and chunk index:
-                // replicas chunking the same block derive bit-identical
-                // batch coefficients regardless of worker count.
-                let mut seed = [0u8; 40];
-                seed[..32].copy_from_slice(block_id.as_bytes());
-                seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
-                if !verify_batch(&items, &seed) {
-                    return false;
-                }
-                if cache.is_some() {
-                    if hits > 0 {
-                        telemetry.add(crate::sigcache::HIT_COUNTER, hits);
-                    }
-                    if !ids.is_empty() {
-                        telemetry.add(crate::sigcache::MISS_COUNTER, ids.len() as u64);
-                    }
-                }
-                if !ids.is_empty() {
-                    telemetry.add(BATCH_TXS_COUNTER, ids.len() as u64);
-                }
-                telemetry.incr(BATCH_CHUNKS_COUNTER);
-                if let Some(cache) = cache {
-                    for id in ids {
-                        cache.insert(id);
-                    }
-                }
-                true
+                let t0 = trace.now_ns();
+                let ok = Self::batch_verify_chunk(&block_id, ci, txs, cache, telemetry);
+                trace.complete(
+                    TraceId::from_seed(block_id.as_bytes()),
+                    "tx.verify_batch",
+                    parent,
+                    lanes::VERIFY,
+                    t0,
+                    &[("chunk", ci as u64), ("txs", txs.len() as u64)],
+                );
+                ok
             })
             .into_iter()
             .all(|chunk_ok| chunk_ok);
@@ -427,6 +381,60 @@ impl Block {
             telemetry.incr(BATCH_FALLBACK_COUNTER);
         }
         ok
+    }
+
+    /// Verifies chunk `ci` of the block `block_id` as one batched
+    /// equation, skipping cached transactions.
+    fn batch_verify_chunk(
+        block_id: &Hash256,
+        ci: usize,
+        txs: &[Transaction],
+        cache: Option<&SigCache>,
+        telemetry: &TelemetrySink,
+    ) -> bool {
+        let mut items: Vec<BatchItem> = Vec::with_capacity(txs.len());
+        let mut ids = Vec::with_capacity(txs.len());
+        let mut hits = 0u64;
+        for tx in txs {
+            if tx.pubkey.address() != tx.from {
+                return false;
+            }
+            let id = tx.id();
+            if cache.is_some_and(|c| c.contains(&id)) {
+                hits += 1;
+                continue;
+            }
+            let digest = Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
+            items.push((tx.pubkey, digest, tx.signature));
+            ids.push(id);
+        }
+        // The Fiat–Shamir seed binds the block id and chunk index:
+        // replicas chunking the same block derive bit-identical batch
+        // coefficients regardless of worker count.
+        let mut seed = [0u8; 40];
+        seed[..32].copy_from_slice(block_id.as_bytes());
+        seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
+        if !verify_batch(&items, &seed) {
+            return false;
+        }
+        if cache.is_some() {
+            if hits > 0 {
+                telemetry.add(crate::sigcache::HIT_COUNTER, hits);
+            }
+            if !ids.is_empty() {
+                telemetry.add(crate::sigcache::MISS_COUNTER, ids.len() as u64);
+            }
+        }
+        if !ids.is_empty() {
+            telemetry.add(BATCH_TXS_COUNTER, ids.len() as u64);
+        }
+        telemetry.incr(BATCH_CHUNKS_COUNTER);
+        if let Some(cache) = cache {
+            for id in ids {
+                cache.insert(id);
+            }
+        }
+        true
     }
 }
 

@@ -493,8 +493,9 @@ impl ChainStore {
 
     /// Routes the store's spans to `sink`: per-block `chain.import` with
     /// `chain.verify` / `chain.execute` / `chain.projections` children,
-    /// per-transaction `tx.verify` and `tx.apply`, and per-projection
-    /// `projection.<name>` spans.
+    /// per-chunk `tx.verify_batch` (per-transaction `tx.verify` when
+    /// batching is off or a batch fails), per-transaction `tx.apply`, and
+    /// per-projection `projection.<name>` spans.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
     }

@@ -57,6 +57,38 @@ fn bad_input(e: impl fmt::Display) -> String {
     format!("malformed input: {e}")
 }
 
+fn get_address(dec: &mut Decoder<'_>) -> Result<Address, String> {
+    dec.get_hash().map(Address::from_hash).map_err(bad_input)
+}
+
+/// Encodes an address → amount map sorted by address (canonical bytes).
+fn put_amounts(e: &mut Encoder, map: &HashMap<Address, u64>) {
+    let mut entries: Vec<(&Address, &u64)> = map.iter().collect();
+    entries.sort_by_key(|(a, _)| **a);
+    e.put_varint(entries.len() as u64);
+    for (who, amount) in entries {
+        e.put_hash(who.as_hash()).put_u64(*amount);
+    }
+}
+
+/// Decodes a map written by [`put_amounts`].
+fn get_amounts(dec: &mut Decoder<'_>) -> Result<HashMap<Address, u64>, String> {
+    let n = dec.get_varint().map_err(bad_input)?;
+    let mut map = HashMap::new();
+    for _ in 0..n {
+        let who = get_address(dec)?;
+        map.insert(who, dec.get_u64().map_err(bad_input)?);
+    }
+    Ok(map)
+}
+
+fn require_owner(caller: &Address, owner: &Address, action: &str) -> Result<(), String> {
+    if caller != owner {
+        return Err(format!("only the owner may {action}"));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Newsroom registry
 // ---------------------------------------------------------------------------
@@ -193,7 +225,7 @@ impl BuiltinContract for NewsroomRegistry {
         let n = dec.get_varint().map_err(bad_input)?;
         for _ in 0..n {
             let id = dec.get_u64().map_err(bad_input)?;
-            let owner = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+            let owner = get_address(&mut dec)?;
             let name = dec.get_str().map_err(bad_input)?;
             platforms.insert(id, PlatformRecord { owner, name });
         }
@@ -206,7 +238,7 @@ impl BuiltinContract for NewsroomRegistry {
             let j = dec.get_varint().map_err(bad_input)?;
             let mut journalists = HashSet::new();
             for _ in 0..j {
-                journalists.insert(Address::from_hash(dec.get_hash().map_err(bad_input)?));
+                journalists.insert(get_address(&mut dec)?);
             }
             rooms.insert(
                 id,
@@ -269,7 +301,7 @@ impl BuiltinContract for NewsroomRegistry {
             }
             2 | 4 => {
                 let room = dec.get_u64().map_err(bad_input)?;
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let who = get_address(&mut dec)?;
                 let owner = self
                     .room_owner(room)
                     .ok_or_else(|| format!("unknown room {room}"))?;
@@ -286,7 +318,7 @@ impl BuiltinContract for NewsroomRegistry {
             }
             3 => {
                 let room = dec.get_u64().map_err(bad_input)?;
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let who = get_address(&mut dec)?;
                 let r = self
                     .rooms
                     .get(&room)
@@ -515,7 +547,9 @@ impl RankingContract {
                 if *bonded > 0 {
                     let cut =
                         ((*bonded as u128 * policy.slash_bps.min(10_000) as u128) / 10_000) as u64;
-                    let cut = cut.max(1).min(*bonded);
+                    // The treasury never wraps: slashing stops at u64::MAX
+                    // rather than destroying stake.
+                    let cut = cut.max(1).min(*bonded).min(u64::MAX - self.treasury);
                     *bonded -= cut;
                     self.treasury += cut;
                     slashed_total += cut;
@@ -551,12 +585,7 @@ impl BuiltinContract for RankingContract {
                 e.put_hash(who.as_hash()).put_u8(*score);
             }
         }
-        let mut reps: Vec<(&Address, &u64)> = self.reputation.iter().collect();
-        reps.sort_by_key(|(a, _)| **a);
-        e.put_varint(reps.len() as u64);
-        for (who, rep) in reps {
-            e.put_hash(who.as_hash()).put_u64(*rep);
-        }
+        put_amounts(&mut e, &self.reputation);
         match &self.policy {
             None => {
                 e.put_u8(0);
@@ -568,16 +597,8 @@ impl BuiltinContract for RankingContract {
                     .put_u64(p.slash_bps);
             }
         }
-        let put_stake_map = |e: &mut Encoder, map: &HashMap<Address, u64>| {
-            let mut entries: Vec<(&Address, &u64)> = map.iter().collect();
-            entries.sort_by_key(|(a, _)| **a);
-            e.put_varint(entries.len() as u64);
-            for (who, amount) in entries {
-                e.put_hash(who.as_hash()).put_u64(*amount);
-            }
-        };
-        put_stake_map(&mut e, &self.free_stake);
-        put_stake_map(&mut e, &self.bonded_stake);
+        put_amounts(&mut e, &self.free_stake);
+        put_amounts(&mut e, &self.bonded_stake);
         e.put_u64(self.treasury);
         let mut quarantined: Vec<&Address> = self.quarantined.iter().collect();
         quarantined.sort();
@@ -590,7 +611,7 @@ impl BuiltinContract for RankingContract {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
-        let owner = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+        let owner = get_address(&mut dec)?;
         let mut ratings = HashMap::new();
         let n = dec.get_varint().map_err(bad_input)?;
         for _ in 0..n {
@@ -598,17 +619,12 @@ impl BuiltinContract for RankingContract {
             let m = dec.get_varint().map_err(bad_input)?;
             let mut rs = BTreeMap::new();
             for _ in 0..m {
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let who = get_address(&mut dec)?;
                 rs.insert(who, dec.get_u8().map_err(bad_input)?);
             }
             ratings.insert(item, rs);
         }
-        let mut reputation = HashMap::new();
-        let n = dec.get_varint().map_err(bad_input)?;
-        for _ in 0..n {
-            let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
-            reputation.insert(who, dec.get_u64().map_err(bad_input)?);
-        }
+        let reputation = get_amounts(&mut dec)?;
         let policy = match dec.get_u8().map_err(bad_input)? {
             0 => None,
             1 => Some(DefensePolicy {
@@ -618,22 +634,13 @@ impl BuiltinContract for RankingContract {
             }),
             other => return Err(format!("bad policy tag {other}")),
         };
-        let get_stake_map = |dec: &mut Decoder| -> Result<HashMap<Address, u64>, String> {
-            let n = dec.get_varint().map_err(bad_input)?;
-            let mut map = HashMap::new();
-            for _ in 0..n {
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
-                map.insert(who, dec.get_u64().map_err(bad_input)?);
-            }
-            Ok(map)
-        };
-        let free_stake = get_stake_map(&mut dec)?;
-        let bonded_stake = get_stake_map(&mut dec)?;
+        let free_stake = get_amounts(&mut dec)?;
+        let bonded_stake = get_amounts(&mut dec)?;
         let treasury = dec.get_u64().map_err(bad_input)?;
         let mut quarantined = HashSet::new();
         let n = dec.get_varint().map_err(bad_input)?;
         for _ in 0..n {
-            quarantined.insert(Address::from_hash(dec.get_hash().map_err(bad_input)?));
+            quarantined.insert(get_address(&mut dec)?);
         }
         dec.expect_end().map_err(bad_input)?;
         self.owner = owner;
@@ -666,23 +673,18 @@ impl BuiltinContract for RankingContract {
             1 => {
                 let item = dec.get_hash().map_err(bad_input)?;
                 let (count, mean) = self.ranking(&item);
-                let mut out = Vec::with_capacity(16);
-                out.extend_from_slice(&count.to_le_bytes());
-                out.extend_from_slice(&mean.to_le_bytes());
-                Ok(out)
+                Ok(encode_u64_pair(count, mean))
             }
             2 => {
-                if *caller != self.owner {
-                    return Err("only the owner may set reputation".into());
-                }
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                require_owner(caller, &self.owner, "set reputation")?;
+                let who = get_address(&mut dec)?;
                 let rep = dec.get_u64().map_err(bad_input)?;
                 self.reputation.insert(who, rep);
                 Ok(Vec::new())
             }
             3 => {
                 let item = dec.get_hash().map_err(bad_input)?;
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let who = get_address(&mut dec)?;
                 let score = self
                     .ratings
                     .get(&item)
@@ -692,9 +694,7 @@ impl BuiltinContract for RankingContract {
                 Ok(vec![score])
             }
             4 => {
-                if *caller != self.owner {
-                    return Err("only the owner may set the defense policy".into());
-                }
+                require_owner(caller, &self.owner, "set the defense policy")?;
                 self.policy = Some(DefensePolicy {
                     min_bond: dec.get_u64().map_err(bad_input)?,
                     decay_bps: dec.get_u64().map_err(bad_input)?,
@@ -703,15 +703,16 @@ impl BuiltinContract for RankingContract {
                 Ok(Vec::new())
             }
             5 => {
-                if *caller != self.owner {
-                    return Err("only the owner may grant stake".into());
-                }
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                require_owner(caller, &self.owner, "grant stake")?;
+                let who = get_address(&mut dec)?;
                 let amount = dec.get_u64().map_err(bad_input)?;
                 if amount == 0 {
                     return Err("grant amount must be positive".into());
                 }
-                *self.free_stake.entry(who).or_insert(0) += amount;
+                let free = self.free_stake.entry(who).or_insert(0);
+                *free = free
+                    .checked_add(amount)
+                    .ok_or("grant overflows the free stake")?;
                 Ok(Vec::new())
             }
             6 => {
@@ -725,42 +726,40 @@ impl BuiltinContract for RankingContract {
                         "insufficient free stake: have {free}, need {amount}"
                     ));
                 }
+                let bonded = self
+                    .bonded_stake
+                    .get(caller)
+                    .copied()
+                    .unwrap_or(0)
+                    .checked_add(amount)
+                    .ok_or("bond overflows the bonded stake")?;
                 *free -= amount;
-                *self.bonded_stake.entry(*caller).or_insert(0) += amount;
+                self.bonded_stake.insert(*caller, bonded);
                 Ok(Vec::new())
             }
             7 => {
-                if *caller != self.owner {
-                    return Err("only the owner may record outcomes".into());
-                }
+                require_owner(caller, &self.owner, "record outcomes")?;
                 let item = dec.get_hash().map_err(bad_input)?;
                 let factual = dec.get_u8().map_err(bad_input)? != 0;
                 let slashed = self.record_outcome(&item, factual);
                 Ok(slashed.to_le_bytes().to_vec())
             }
             8 => {
-                if *caller != self.owner {
-                    return Err("only the owner may quarantine".into());
-                }
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                require_owner(caller, &self.owner, "quarantine")?;
+                let who = get_address(&mut dec)?;
                 self.quarantined.insert(who);
                 Ok(Vec::new())
             }
             9 => {
-                if *caller != self.owner {
-                    return Err("only the owner may unquarantine".into());
-                }
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                require_owner(caller, &self.owner, "unquarantine")?;
+                let who = get_address(&mut dec)?;
                 self.quarantined.remove(&who);
                 Ok(Vec::new())
             }
             10 => {
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let who = get_address(&mut dec)?;
                 let (free, bonded) = self.stake(&who);
-                let mut out = Vec::with_capacity(16);
-                out.extend_from_slice(&free.to_le_bytes());
-                out.extend_from_slice(&bonded.to_le_bytes());
-                Ok(out)
+                Ok(encode_u64_pair(free, bonded))
             }
             other => Err(format!("unknown ranking op {other}")),
         }
@@ -790,13 +789,7 @@ pub fn ranking_set_reputation(who: &Address, rep: u64) -> Vec<u8> {
 
 /// Decodes a `GetRanking` output into `(count, weighted mean ×1e-4)`.
 pub fn decode_ranking(out: &[u8]) -> Option<(u64, u64)> {
-    if out.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(out[..8].try_into().ok()?),
-        u64::from_le_bytes(out[8..].try_into().ok()?),
-    ))
+    decode_u64_pair(out)
 }
 
 /// Encodes a `SetPolicy` input (op 4).
@@ -853,6 +846,14 @@ pub fn ranking_get_stake(who: &Address) -> Vec<u8> {
 
 /// Decodes a `GetStake` output into `(free, bonded)`.
 pub fn decode_stake(out: &[u8]) -> Option<(u64, u64)> {
+    decode_u64_pair(out)
+}
+
+fn encode_u64_pair(a: u64, b: u64) -> Vec<u8> {
+    [a.to_le_bytes(), b.to_le_bytes()].concat()
+}
+
+fn decode_u64_pair(out: &[u8]) -> Option<(u64, u64)> {
     if out.len() != 16 {
         return None;
     }
@@ -911,24 +912,14 @@ impl BuiltinContract for IncentiveContract {
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut e = Encoder::new();
         e.put_hash(self.owner.as_hash());
-        let mut bals: Vec<(&Address, &u64)> = self.balances.iter().collect();
-        bals.sort_by_key(|(a, _)| **a);
-        e.put_varint(bals.len() as u64);
-        for (who, bal) in bals {
-            e.put_hash(who.as_hash()).put_u64(*bal);
-        }
+        put_amounts(&mut e, &self.balances);
         Some(e.finish())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
-        let owner = Address::from_hash(dec.get_hash().map_err(bad_input)?);
-        let mut balances = HashMap::new();
-        let n = dec.get_varint().map_err(bad_input)?;
-        for _ in 0..n {
-            let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
-            balances.insert(who, dec.get_u64().map_err(bad_input)?);
-        }
+        let owner = get_address(&mut dec)?;
+        let balances = get_amounts(&mut dec)?;
         dec.expect_end().map_err(bad_input)?;
         self.owner = owner;
         self.balances = balances;
@@ -940,10 +931,8 @@ impl BuiltinContract for IncentiveContract {
         let op = dec.get_u8().map_err(bad_input)?;
         match op {
             0 | 1 => {
-                if *caller != self.owner {
-                    return Err("only the owner may reward/slash".into());
-                }
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                require_owner(caller, &self.owner, "reward/slash")?;
+                let who = get_address(&mut dec)?;
                 let amount = dec.get_u64().map_err(bad_input)?;
                 let bal = self.balances.entry(who).or_insert(0);
                 if op == 0 {
@@ -954,11 +943,11 @@ impl BuiltinContract for IncentiveContract {
                 Ok(Vec::new())
             }
             2 => {
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let who = get_address(&mut dec)?;
                 Ok(self.balance(&who).to_le_bytes().to_vec())
             }
             3 => {
-                let to = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                let to = get_address(&mut dec)?;
                 let amount = dec.get_u64().map_err(bad_input)?;
                 let from_bal = self.balance(caller);
                 if from_bal < amount {
@@ -1095,7 +1084,7 @@ impl BuiltinContract for FactDbAdmission {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut dec = Decoder::new(bytes);
-        let owner = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+        let owner = get_address(&mut dec)?;
         let threshold = dec.get_u64().map_err(bad_input)? as usize;
         if threshold == 0 {
             return Err("admission threshold must be positive".into());
@@ -1103,7 +1092,7 @@ impl BuiltinContract for FactDbAdmission {
         let mut checkers = HashSet::new();
         let n = dec.get_varint().map_err(bad_input)?;
         for _ in 0..n {
-            checkers.insert(Address::from_hash(dec.get_hash().map_err(bad_input)?));
+            checkers.insert(get_address(&mut dec)?);
         }
         let mut attestations = HashMap::new();
         let n = dec.get_varint().map_err(bad_input)?;
@@ -1112,7 +1101,7 @@ impl BuiltinContract for FactDbAdmission {
             let m = dec.get_varint().map_err(bad_input)?;
             let mut who = HashSet::new();
             for _ in 0..m {
-                who.insert(Address::from_hash(dec.get_hash().map_err(bad_input)?));
+                who.insert(get_address(&mut dec)?);
             }
             attestations.insert(record, who);
         }
@@ -1129,10 +1118,8 @@ impl BuiltinContract for FactDbAdmission {
         let op = dec.get_u8().map_err(bad_input)?;
         match op {
             0 => {
-                if *caller != self.owner {
-                    return Err("only the owner may register checkers".into());
-                }
-                let who = Address::from_hash(dec.get_hash().map_err(bad_input)?);
+                require_owner(caller, &self.owner, "register checkers")?;
+                let who = get_address(&mut dec)?;
                 self.checkers.insert(who);
                 Ok(Vec::new())
             }

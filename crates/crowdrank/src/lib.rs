@@ -12,8 +12,8 @@
 //! - [`adversary`]: honest/random/malicious/strategic validator models,
 //!   plus the campaign participant roles (bot rings, turncoat sybils,
 //!   bribed rankers) driven end-to-end by E24.
-//! - [`defense`]: stake bonds with slashing, stake-weighted aggregation
-//!   with quarantine, and sliding-window coordination detection.
+//! - [`defense`]: sliding-window coordination detection, whose verdicts
+//!   the governor enforces on chain through the ranking contract.
 //! - [`sim`]: the round-based simulation with incentive economics that
 //!   powers the E2 robustness experiment.
 //!
@@ -40,9 +40,6 @@ pub use aggregate::{
     evidence_weighted, majority, reputation_weighted, truth_discovery, AggregateError, Decision,
     Vote,
 };
-pub use defense::{
-    stake_weighted, CoordinationDetector, CoordinationReport, DefenseConfig, DefenseError,
-    ObservedVote, StakeLedger,
-};
+pub use defense::{CoordinationDetector, CoordinationReport, DetectorConfig, ObservedVote};
 pub use reputation::{Reputation, ReputationError, ReputationLedger};
 pub use sim::{run, SimConfig, SimResult, Strategy};

@@ -15,6 +15,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 echo "== cargo test -q"
 cargo test --workspace --offline -q
 
+echo "== perfbench build (fails the gate when a public API it calls changes)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== exp17 smoke (parallel verification pipeline)"
 cargo run -q --release --offline -p tn-bench --bin exp17_parallel_verify -- --quick
 

@@ -11,12 +11,12 @@
 
 use proptest::prelude::*;
 
-use tn_chain::block::BatchVerifyPolicy;
+use tn_chain::block::{BatchVerifyPolicy, BATCH_CHUNKS_COUNTER};
 use tn_chain::prelude::*;
 use tn_crypto::{batch_coefficients, BatchItem, Keypair};
 use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
-use tn_trace::TraceSink;
+use tn_trace::{replica_span_id, TraceId, TraceSink, Tracer};
 
 fn block_with_txs(count: usize, signers: usize) -> Block {
     let proposer = Keypair::from_seed(b"batch proposer");
@@ -144,6 +144,17 @@ proptest! {
     }
 }
 
+/// `n` one-byte blob transactions signed by `alice`, nonces `0..n`.
+fn alice_blobs(alice: &Keypair, n: u64) -> Vec<Transaction> {
+    let blob = |n: u64| Payload::Blob {
+        tag: 1,
+        data: vec![n as u8],
+    };
+    (0..n)
+        .map(|n| Transaction::signed(alice, n, 1, blob(n)))
+        .collect()
+}
+
 /// Full-store determinism: replicas importing the same blocks through any
 /// batch policy × worker count end at identical head ids and state roots.
 #[test]
@@ -154,20 +165,7 @@ fn replica_digests_identical_across_batch_configs() {
         let mut store = ChainStore::new(State::genesis([(alice.address(), 10_000)]), &proposer);
         store.set_verify_pool(Pool::new(workers));
         store.set_batch_policy(policy);
-        let txs: Vec<Transaction> = (0..40u64)
-            .map(|n| {
-                Transaction::signed(
-                    &alice,
-                    n,
-                    1,
-                    Payload::Blob {
-                        tag: 1,
-                        data: vec![n as u8],
-                    },
-                )
-            })
-            .collect();
-        let block = store.propose(&proposer, 10, txs, &mut NoExecutor);
+        let block = store.propose(&proposer, 10, alice_blobs(&alice, 40), &mut NoExecutor);
         store.import(block, &mut NoExecutor).expect("imports");
         (store.head_id(), store.head_state().root())
     };
@@ -185,4 +183,54 @@ fn replica_digests_identical_across_batch_configs() {
             );
         }
     }
+}
+
+/// Tracing observes, it does not steer: a traced and an untraced import
+/// of the same valid block both take the batch path (the same number of
+/// batch chunks verified) and return the same result. The traced import
+/// records one `tx.verify_batch` span per chunk under `chain.verify`, and
+/// no per-transaction `tx.verify` spans.
+#[test]
+fn traced_import_takes_the_batch_path() {
+    let alice = Keypair::from_seed(b"alice");
+    let proposer = Keypair::from_seed(b"proposer");
+    let genesis = || State::genesis([(alice.address(), 10_000)]);
+    let policy = BatchVerifyPolicy {
+        enabled: true,
+        chunk: 8,
+    };
+    let txs = alice_blobs(&alice, 20);
+    let block = ChainStore::new(genesis(), &proposer).propose(&proposer, 10, txs, &mut NoExecutor);
+
+    let import = |trace: TraceSink| {
+        let registry = tn_telemetry::Registry::new();
+        let mut store = ChainStore::new(genesis(), &proposer);
+        store.set_batch_policy(policy);
+        store.set_telemetry(registry.sink());
+        store.set_trace(trace);
+        let result = store.import(block.clone(), &mut NoExecutor);
+        let chunks = registry.snapshot().counter(BATCH_CHUNKS_COUNTER);
+        (result, chunks, store.head_id())
+    };
+    let untraced = import(TraceSink::disabled());
+    let tracer = Tracer::new(1);
+    let traced = import(tracer.sink(0));
+    assert!(untraced.0.is_ok());
+    assert_eq!(untraced, traced);
+    assert_eq!(traced.1, Some(3), "20 txs in chunks of 8");
+
+    let trace = tracer.collect();
+    assert!(trace.named("tx.verify").is_empty());
+    let batches = trace.named("tx.verify_batch");
+    assert_eq!(batches.len(), 3);
+    let verify_span = replica_span_id(TraceId::from_seed(block.id().as_bytes()), "chain.verify", 0);
+    let mut seen: Vec<(u64, u64)> = batches
+        .iter()
+        .map(|s| {
+            assert_eq!(s.parent, verify_span);
+            (s.arg("chunk").unwrap(), s.arg("txs").unwrap())
+        })
+        .collect();
+    seen.sort_unstable();
+    assert_eq!(seen, vec![(0, 8), (1, 8), (2, 4)]);
 }

@@ -3,15 +3,29 @@
 //! they return errors. A public blockchain platform feeds attacker-
 //! controlled bytes into all of these paths.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use tn_chain::block::Block;
 use tn_chain::codec::{Decodable, Decoder};
 use tn_chain::transaction::Transaction;
+use tn_contracts::builtin::{
+    ranking_set_policy, ranking_submit, BuiltinContract, DefensePolicy, RankingContract,
+};
 use tn_contracts::vm::{execute, validate, ExecEnv};
 use tn_core::roles::IdentityRecord;
+use tn_crypto::{Address, Keypair};
 use tn_factdb::record::FactRecord;
 use tn_supplychain::index::NewsEvent;
+
+fn ranking_owner() -> Address {
+    Keypair::from_seed(b"fuzz ranking owner").address()
+}
+
+fn ranking_stranger() -> Address {
+    Keypair::from_seed(b"fuzz ranking stranger").address()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -97,5 +111,71 @@ proptest! {
         let f = tn_aidetect::lexicon::LexiconFeatures::extract(&text);
         let score = f.heuristic_score();
         prop_assert!((0.0..=1.0).contains(&score));
+    }
+
+    /// Arbitrary bytes after each defense op byte (4–10), sent to the
+    /// ranking contract by its owner or by a stranger, with or without an
+    /// active policy, never panic: every call returns `Ok` or `Err`. Half
+    /// the calls lead with a known 32-byte operand (the stranger's address,
+    /// or for op 7 the item both callers rated) so grants, bonds and
+    /// slashes actually land. After every call, free + bonded over every
+    /// address that was granted stake, plus the treasury, equals the sum
+    /// of the grants that succeeded.
+    #[test]
+    fn ranking_defense_ops_never_panic_and_conserve_stake(
+        calls in proptest::collection::vec(
+            ((4u8..=10, any::<bool>()), (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..80))),
+            1..64,
+        ),
+        with_policy in any::<bool>(),
+    ) {
+        let owner = ranking_owner();
+        let stranger = ranking_stranger();
+        let rated = tn_crypto::sha256::sha256(b"fuzz rated item");
+        let mut contract = RankingContract::new(owner);
+        if with_policy {
+            let policy = DefensePolicy { min_bond: 10, decay_bps: 5_000, slash_bps: 5_000 };
+            contract.call(&owner, &ranking_set_policy(&policy)).expect("owner sets policy");
+        }
+        contract.call(&owner, &ranking_submit(&rated, 90)).expect("valid rating");
+        contract.call(&stranger, &ranking_submit(&rated, 10)).expect("valid rating");
+
+        let mut holders: BTreeSet<Address> = [owner, stranger].into_iter().collect();
+        let mut granted: u128 = 0;
+        for ((op, by_owner), (known_operand, tail)) in calls {
+            let caller = if by_owner { owner } else { stranger };
+            let mut input = vec![op];
+            if known_operand {
+                let operand = if op == 7 { rated } else { *stranger.as_hash() };
+                input.extend_from_slice(operand.as_bytes());
+            }
+            input.extend_from_slice(&tail);
+            let result = contract.call(&caller, &input);
+            if op == 5 && result.is_ok() {
+                let mut dec = Decoder::new(&input[1..]);
+                holders.insert(Address::from_hash(dec.get_hash().expect("granted")));
+                granted += dec.get_u64().expect("granted") as u128;
+            }
+            let held: u128 = holders
+                .iter()
+                .map(|who| {
+                    let (free, bonded) = contract.stake(who);
+                    free as u128 + bonded as u128
+                })
+                .sum();
+            prop_assert_eq!(held + contract.treasury() as u128, granted);
+        }
+    }
+
+    /// A checkpoint blob of arbitrary bytes is rejected without panicking
+    /// and without touching the contract.
+    #[test]
+    fn ranking_load_state_rejects_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let mut contract = RankingContract::new(ranking_owner());
+        let before = contract.save_state();
+        prop_assert!(contract.load_state(&bytes).is_err());
+        prop_assert_eq!(contract.save_state(), before);
     }
 }
